@@ -214,8 +214,7 @@ def cmd_check_pair(args):
                    {"seed": args.seed}, checks, info)
 
 
-def _polarize_one(pair, f, tag, checks):
-    pol = construct_polarization(pair, f)
+def _polarize_one(pair, f, pol, tag, checks):
     cert = verify_polarization(pair, f, pol.b)
     puk = pukanszky_check(pair, f, pol.b)
     kf, pf = kf_pf(pair, f)
@@ -246,7 +245,8 @@ def cmd_polarize(args):
     options = {"seed": args.seed, "count": args.count, "form": args.form}
     if args.form is not None:
         f = parse_form(args.form, pair.p_dim)
-        _polarize_one(pair, f, "form[000]", checks)
+        _polarize_one(pair, f, construct_polarization(pair, f), "form[000]",
+                      checks)
     else:
         found, skipped = sample_polarizable_forms(pair, args.seed, args.count)
         checks.append(_check("sampling", len(found) == args.count, {
@@ -254,8 +254,8 @@ def cmd_polarize(args):
             "found": len(found),
             "skipped": skipped,
         }))
-        for idx, (f, _) in enumerate(found):
-            _polarize_one(pair, f, "form[%03d]" % idx, checks)
+        for idx, (f, pol) in enumerate(found):
+            _polarize_one(pair, f, pol, "form[%03d]" % idx, checks)
     return _report("polarize", args.target, digest, options, checks)
 
 

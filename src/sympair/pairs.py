@@ -87,14 +87,6 @@ class SymmetricPair:
         w = tinv.apply(v)
         return w[: self.k_dim], w[self.k_dim:]
 
-    def k_part(self, v):
-        kc, _ = self.decompose(v)
-        return self.from_k_coords(kc)
-
-    def p_part(self, v):
-        _, pc = self.decompose(v)
-        return self.from_p_coords(pc)
-
     def from_k_coords(self, kc):
         out = zero_vec(self.g.dim)
         for c, b in zip(kc, self.k_basis.basis):

@@ -7,19 +7,32 @@ ideal generated by X - delta(X) for X in k, which concretely substitutes the
 half-trace character value for every rightmost k factor, so each class has a
 canonical polynomial representative on p.
 
+Symmetrization averages the orderings of a monomial without listing them:
+the first letter of a uniformly random ordering of y^a is p_i with
+probability a_i/d, so sym(y^a) = sum_i (a_i/d) p_i sym(y^(a - e_i)), and
+this recursion is memoized per pair.
+
 rouviere composes the three stages: pair the square root of the determinant
 series J with an invariant polynomial (constant coefficient operators), then
 symmetrize into the enveloping algebra, then reduce to the quotient.  The
 verification routines check that this map is an algebra isomorphism onto the
-invariant classes in the exact sense, degree by degree.
+invariant classes in the exact sense, degree by degree.  Both verifiers read
+the invariant classes from one exact kernel of the k action per pair and
+degree, and certify the invariance of each factor once.
 """
 
-import itertools
-import math
 from fractions import Fraction
 
 from .errors import NotInvariant
-from .exactla import Mat, echelon_basis, kernel, rank, vec_is_zero
+from .exactla import (
+    Mat,
+    echelon_basis,
+    kernel,
+    pivot_columns,
+    rank,
+    vec_is_zero,
+    zero_vec,
+)
 from .pairs import delta_character
 from .poly_series import (
     MultiPoly,
@@ -31,6 +44,15 @@ from .poly_series import (
 )
 
 
+def _add_into(out, key, value):
+    """out[key] += value, dropping the key when the sum vanishes."""
+    acc = out.get(key, 0) + value
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
 class PBWContext:
     """Generator table, bracket table and straightening memo for one pair."""
 
@@ -40,7 +62,6 @@ class PBWContext:
         self.n = pair.k_dim
         self.ngens = self.m + self.n
         gens = list(pair.p_basis.basis) + list(pair.k_basis.basis)
-        self.gen_vectors = gens
         bracket = {}
         for a in range(self.ngens):
             for b in range(self.ngens):
@@ -85,11 +106,7 @@ class PBWContext:
         for t, c in self.gen_bracket[(a, b)]:
             sub = self.straighten(word[:pos] + (t,) + word[pos + 2:])
             for exp, v in sub.items():
-                w = total.get(exp, Fraction(0)) + c * v
-                if w == 0:
-                    total.pop(exp, None)
-                else:
-                    total[exp] = w
+                _add_into(total, exp, c * v)
         memo[word] = total
         return total
 
@@ -140,11 +157,7 @@ class PBWElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k, Fraction(0)) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
+            _add_into(out, k, v)
         return PBWElement(self.ctx, out)
 
     def __sub__(self, other):
@@ -176,11 +189,7 @@ def pbw_multiply(u, v):
             word = wu + ctx.word_of_exponent(ev)
             c = cu * cv
             for exp, w in ctx.straighten(word).items():
-                acc = out.get(exp, Fraction(0)) + c * w
-                if acc == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = acc
+                _add_into(out, exp, c * w)
     return PBWElement(ctx, out)
 
 
@@ -227,14 +236,7 @@ def reduce_mod_ideal(pair, u):
             e = exp[m + t]
             if e:
                 c = c * delta[t] ** e
-        if c == 0:
-            continue
-        mono = exp[:m]
-        acc = out.get(mono, Fraction(0)) + c
-        if acc == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = acc
+        _add_into(out, exp[:m], c)
     return QuotientClass(pair, MultiPoly(m, out))
 
 
@@ -249,42 +251,44 @@ def element_to_pbw(pair, x):
     """Degree one element of the enveloping algebra from a g vector."""
     ctx = pbw_context(pair)
     kc, pc = pair.decompose(x)
-    out = PBWElement.zero(ctx)
-    for t, c in enumerate(pc):
-        if c != 0:
-            out = out + PBWElement.generator(ctx, t).scale(c)
-    for t, c in enumerate(kc):
-        if c != 0:
-            out = out + PBWElement.generator(ctx, ctx.m + t).scale(c)
+    return PBWElement(ctx, {
+        tuple(1 if i == t else 0 for i in range(ctx.ngens)): c
+        for t, c in enumerate(tuple(pc) + tuple(kc))})
+
+
+def _symmetrized_monomial(pair, exp):
+    """sym(y^exp) as PBW terms, by the first-letter recursion (memoized)."""
+    memo = pair._caches.setdefault("sym", {})
+    found = memo.get(exp)
+    if found is not None:
+        return found
+    ctx = pbw_context(pair)
+    d = sum(exp)
+    out = {} if d else {(0,) * ctx.ngens: Fraction(1)}
+    for i, a in enumerate(exp):
+        if not a:
+            continue
+        weight = Fraction(a, d)
+        rest = exp[:i] + (a - 1,) + exp[i + 1:]
+        for e, c in _symmetrized_monomial(pair, rest).items():
+            for e2, v in ctx.straighten((i,) + ctx.word_of_exponent(e)).items():
+                _add_into(out, e2, weight * c * v)
+    memo[exp] = out
     return out
 
 
 def symmetrize(pair, poly):
     """Symmetrization S[p] -> U(g): average the orderings of each monomial."""
-    ctx = pbw_context(pair)
-    out = PBWElement.zero(ctx)
+    out = {}
     for exp, c in poly.terms.items():
-        word = ctx.word_of_exponent(exp + (0,) * ctx.n)
-        if not word:
-            out = out + PBWElement.one(ctx).scale(c)
-            continue
-        counts = {}
-        for perm in itertools.permutations(word):
-            counts[perm] = counts.get(perm, 0) + 1
-        total = {}
-        for perm, mult in counts.items():
-            for e, v in ctx.straighten(perm).items():
-                total[e] = total.get(e, Fraction(0)) + mult * v
-        weight = Fraction(c, math.factorial(len(word)))
-        out = out + PBWElement(ctx, total).scale(weight)
-    return out
+        for e, v in _symmetrized_monomial(pair, exp).items():
+            _add_into(out, e, c * v)
+    return PBWElement(pbw_context(pair), out)
 
 
 def class_k_action(pair, x, cls):
     """Action of x in k on a class: the class of x u - u x."""
-    ctx = pbw_context(pair)
-    kc, pc = pair.decompose(x)
-    if not vec_is_zero(pc):
+    if not vec_is_zero(pair.decompose(x)[1]):
         raise ValueError("class action element must lie in k")
     xe = element_to_pbw(pair, x)
     u = poly_to_pbw(pair, cls.rep)
@@ -296,13 +300,22 @@ def is_invariant_class(pair, cls):
                for x in pair.k_basis.basis)
 
 
-def class_multiply(pair, a, b):
-    """Product of invariant classes; NotInvariant if either input is not."""
-    for cls in (a, b):
+def _require_invariant(pair, classes):
+    for cls in classes:
         if not is_invariant_class(pair, cls):
             raise NotInvariant("class product needs invariant factors")
+
+
+def _product(pair, a, b):
+    """Product of classes whose invariance the caller has certified."""
     prod = pbw_multiply(poly_to_pbw(pair, a.rep), poly_to_pbw(pair, b.rep))
     return reduce_mod_ideal(pair, prod)
+
+
+def class_multiply(pair, a, b):
+    """Product of invariant classes; NotInvariant if either input is not."""
+    _require_invariant(pair, (a, b))
+    return _product(pair, a, b)
 
 
 def _check_poly_invariant(pair, poly):
@@ -330,55 +343,45 @@ def beta_class(pair, poly):
     return reduce_mod_ideal(pair, symmetrize(pair, poly))
 
 
-def _class_action_images(pair, degree):
-    """Monomial list up to degree and, per k basis vector, the class action
-    image of each monomial class.  The action only drops filtration degree,
-    so images of degree <= e monomials stay within degree <= e."""
-    m = pair.p_dim
-    mons = []
-    for e in range(degree + 1):
-        mons.extend(monomials_of_degree(m, e))
-    images = []
-    for x in pair.k_basis.basis:
-        images.append([
-            class_k_action(pair, x, QuotientClass(pair, MultiPoly.monomial(mon))).rep
-            for mon in mons
-        ])
-    return mons, images
+def _invariant_classes(pair, degree):
+    """Invariant classes with representatives of degree <= degree, from one
+    exact kernel of the k action, cached per pair and degree.
 
-
-def _invariant_class_vectors(mons, images, degree):
-    keep = [i for i, mon in enumerate(mons) if sum(mon) <= degree]
-    rows = []
-    for per_x in images:
-        for target in (mons[i] for i in keep):
-            rows.append(tuple(per_x[i].coefficient(target) for i in keep))
-    if not rows:
-        vectors = [tuple(Fraction(1 if i == j else 0) for j in range(len(keep)))
-                   for i in range(len(keep))]
-    else:
-        vectors = kernel(Mat(rows))
-    return keep, echelon_basis(vectors)
+    Returns (monomials, rows): the monomials are listed degree-descending and
+    the rows are the reduced echelon basis of the kernel in their
+    coordinates.  The action only drops filtration degree, and each row is
+    zero above its pivot, so a row's pivot monomial has the row's degree."""
+    key = ("invariant_classes", degree)
+    if key not in pair._caches:
+        mons = []
+        for e in range(degree, -1, -1):
+            mons.extend(monomials_of_degree(pair.p_dim, e))
+        rows = []
+        for x in pair.k_basis.basis:
+            images = [class_k_action(
+                pair, x, QuotientClass(pair, MultiPoly.monomial(mon))).rep
+                for mon in mons]
+            for target in mons:
+                rows.append(tuple(img.coefficient(target) for img in images))
+        vectors = kernel(Mat(rows or [zero_vec(len(mons))]))
+        pair._caches[key] = (mons, echelon_basis(vectors))
+    return pair._caches[key]
 
 
 def invariant_class_filtered_dims(pair, degree):
     """dim of invariant classes with representatives of degree <= e, per e."""
-    mons, images = _class_action_images(pair, degree)
-    return [len(_invariant_class_vectors(mons, images, e)[1])
-            for e in range(degree + 1)]
+    mons, rows = _invariant_classes(pair, degree)
+    pivot_degrees = [sum(mons[c]) for c in pivot_columns(rows)]
+    return [sum(1 for p in pivot_degrees if p <= e) for e in range(degree + 1)]
 
 
 def invariant_class_basis(pair, degree):
-    """Echelonized basis of invariant classes with representatives of
-    degree <= degree, computed from the exact kernel of the k action."""
-    m = pair.p_dim
-    mons, images = _class_action_images(pair, degree)
-    keep, vectors = _invariant_class_vectors(mons, images, degree)
-    classes = []
-    for vec in vectors:
-        classes.append(QuotientClass(
-            pair, MultiPoly(m, {mons[i]: c for i, c in zip(keep, vec)})))
-    return classes
+    """Basis of invariant classes with representatives of degree <= degree,
+    lowest degree first and adapted to the degree filtration: the classes
+    of degree <= e are a basis of that filtration step, for every e."""
+    mons, rows = _invariant_classes(pair, degree)
+    return [QuotientClass(pair, MultiPoly(pair.p_dim, dict(zip(mons, row))))
+            for row in reversed(rows)]
 
 
 class HomomorphismReport:
@@ -428,37 +431,32 @@ def verify_rouviere_homomorphism(pair, degree):
     algebras onto the invariant classes, through the given degree."""
     invs = invariants_up_to_degree(pair, degree)
     images = [rouviere(pair, p) for p in invs]
-    images_invariant = all(is_invariant_class(pair, c) for c in images)
+    betas = [beta_class(pair, p) for p in invs]
+    # invs[0] is the constant 1, so every image and beta class is a factor
+    # of some product below; each is certified once, and a failure raises.
+    _require_invariant(pair, images + betas)
     defects = []
     beta_defects = []
-    betas = [beta_class(pair, p) for p in invs]
     for i in range(len(invs)):
         for j in range(i, len(invs)):
             if invs[i].degree + invs[j].degree > degree:
                 continue
-            lhs = class_multiply(pair, images[i], images[j])
+            lhs = _product(pair, images[i], images[j])
             rhs = rouviere(pair, invs[i] * invs[j])
             if lhs != rhs:
                 defects.append((i, j, (lhs - rhs).rep))
-            blhs = class_multiply(pair, betas[i], betas[j])
+            blhs = _product(pair, betas[i], betas[j])
             brhs = beta_class(pair, invs[i] * invs[j])
             if blhs != brhs:
                 beta_defects.append((i, j, (blhs - brhs).rep))
-    mons = []
-    for e in range(degree + 1):
-        mons.extend(monomials_of_degree(pair.p_dim, e))
-    rows = [tuple(c.rep.coefficient(mon) for mon in mons) for c in images]
+    support = sorted({mon for c in images for mon in c.rep.terms})
+    rows = [tuple(c.rep.coefficient(mon) for mon in support) for c in images]
     injective = (not rows) or rank(Mat(rows)) == len(rows)
-    by_degree_polys = [0] * (degree + 1)
-    for p in invs:
-        by_degree_polys[p.degree] += 1
-    filtered = invariant_class_filtered_dims(pair, degree)
-    graded = []
-    for e in range(degree + 1):
-        below = filtered[e - 1] if e else 0
-        graded.append((e, by_degree_polys[e], filtered[e] - below))
+    filtered = [0] + invariant_class_filtered_dims(pair, degree)
+    graded = [(e, sum(1 for p in invs if p.degree == e),
+               filtered[e + 1] - filtered[e]) for e in range(degree + 1)]
     return HomomorphismReport(degree, invs, images, defects, injective,
-                              graded, beta_defects, images_invariant)
+                              graded, beta_defects, True)
 
 
 class CommutativityReport:
@@ -486,13 +484,14 @@ class CommutativityReport:
 def commutativity_check(pair, degree):
     """Exact commutativity of the invariant class algebra through degree."""
     classes = invariant_class_basis(pair, degree)
+    _require_invariant(pair, classes)
     defects = []
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             if classes[i].rep.degree + classes[j].rep.degree > degree:
                 continue
-            ab = class_multiply(pair, classes[i], classes[j])
-            ba = class_multiply(pair, classes[j], classes[i])
+            ab = _product(pair, classes[i], classes[j])
+            ba = _product(pair, classes[j], classes[i])
             if ab != ba:
                 defects.append((i, j, (ab - ba).rep))
     return CommutativityReport(degree, len(classes), defects)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import VariableCountMismatch
-from .exactla import Mat, echelon_basis, kernel, vec_is_zero
+from .exactla import Mat, echelon_basis, kernel, vec_is_zero, zero_vec
 
 
 def _norm_terms(terms):
@@ -246,16 +246,26 @@ def p_action_matrix(pair, x):
     return Mat.from_columns(cols)
 
 
+def _derivation_forms(pair, x):
+    """The images [x, p_j], j = 1..m, as linear polynomials on p, built once
+    per pair and k element."""
+    key = ("derivation", tuple(x))
+    if key not in pair._caches:
+        m = pair.p_dim
+        act = p_action_matrix(pair, x)
+        pair._caches[key] = [
+            MultiPoly(m, {tuple(1 if i == t else 0 for i in range(m)):
+                          act.entries[t][j] for t in range(m)})
+            for j in range(m)]
+    return pair._caches[key]
+
+
 def k_derivation(pair, x, poly):
     """Derivation of S[p] extending [x, .] on p, applied to poly."""
-    m = pair.p_dim
-    if poly.nvars != m:
+    if poly.nvars != pair.p_dim:
         raise VariableCountMismatch("polynomial does not live on p")
-    act = p_action_matrix(pair, x)
-    out = MultiPoly(m)
-    for j in range(m):
-        lin = MultiPoly(m, {tuple(1 if i == t else 0 for i in range(m)):
-                            act.entries[t][j] for t in range(m)})
+    out = MultiPoly(poly.nvars)
+    for j, lin in enumerate(_derivation_forms(pair, x)):
         out = out + lin * poly.partial(j)
     return out
 
@@ -287,10 +297,7 @@ def invariants_up_to_degree(pair, degree):
                       for mon in mons]
             for target in mons:
                 rows.append(tuple(img.coefficient(target) for img in images))
-        coeff_vectors = kernel(Mat(rows)) if rows else [
-            tuple(Fraction(1 if i == j else 0) for j in range(len(mons)))
-            for i in range(len(mons))
-        ]
+        coeff_vectors = kernel(Mat(rows or [zero_vec(len(mons))]))
         for vec in echelon_basis(coeff_vectors):
             found.append(MultiPoly(m, {mon: vec[index[mon]] for mon in mons}))
     return found

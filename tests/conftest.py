@@ -1,9 +1,18 @@
 """Shared fixtures.  Builtin pairs validate on construction and carry
 per-pair caches (PBW context, series), so each is built once per session."""
 
+import os
+
 import pytest
 
+import sympair
 from sympair.pairs import BUILTIN_PAIRS, builtin_pair
+
+# The CLI tests start `python -m sympair` in child interpreters; let them
+# import the same package as this session, also under a plain `pytest`.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(sympair.__file__)),
+    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ generator must die in the quotient, and the correction constant for the
 quadratic invariant on the swap pair is recomputed here with a hand-rolled
 derivative pairing."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -165,6 +166,36 @@ def test_symmetrize_low_degree(cot_aff1):
     assert sq.terms == {(2, 0, 0, 0): Q(1)}
 
 
+def brute_force_symmetrize(pair, poly):
+    """Average of each monomial over all d! orderings of its letters, every
+    ordering multiplied out from the generators."""
+    ctx = pbw_context(pair)
+    out = PBWElement.zero(ctx)
+    for exp, c in poly.terms.items():
+        letters = [t for t, e in enumerate(exp) for _ in range(e)]
+        orderings = list(itertools.permutations(letters))
+        for order in orderings:
+            prod = PBWElement.one(ctx)
+            for t in order:
+                prod = pbw_multiply(prod, PBWElement.generator(ctx, t))
+            out = out + prod.scale(c / len(orderings))
+    return out
+
+
+def test_symmetrize_matches_average_over_orderings(pairs):
+    rng = random.Random(26)
+    for pair in pairs.values():
+        m = pair.p_dim
+        for _ in range(3):
+            poly = MultiPoly(m)
+            for _ in range(3):
+                exp = [0] * m
+                for _ in range(rng.randint(0, 4)):
+                    exp[rng.randrange(m)] += 1
+                poly = poly + MultiPoly.monomial(exp, rng.randint(1, 5))
+            assert symmetrize(pair, poly) == brute_force_symmetrize(pair, poly)
+
+
 def test_symmetrize_frozen_swap_example(swap_sl2):
     y1 = MultiPoly.variable(3, 0)
     y2 = MultiPoly.variable(3, 1)
@@ -286,6 +317,24 @@ def test_filtered_class_dimensions(pairs):
     assert dims == [1, 3, 6, 10, 15]
     dims2 = invariant_class_filtered_dims(pairs["swap:sl2"], 4)
     assert dims2 == [1, 1, 2, 2, 3]
+    assert invariant_class_filtered_dims(pairs["cotangent:heis3"], 6) == [
+        1, 3, 6, 10, 15, 21, 28]
+    assert invariant_class_filtered_dims(pairs["swap:sl2"], 6) == [
+        1, 1, 2, 2, 3, 3, 4]
+    assert invariant_class_filtered_dims(pairs["cotangent:sl2"], 4) == [
+        1, 1, 2, 2, 3]
+
+
+def test_invariant_class_basis_is_filtration_adapted(pairs):
+    degrees = [c.rep.degree for c in invariant_class_basis(pairs["swap:sl2"], 6)]
+    assert degrees == [0, 2, 4, 6]
+    # so the commutativity check multiplies non-constant classes
+    assert commutativity_check(pairs["swap:sl2"], 6).passed
+    for pair in pairs.values():
+        degrees = [c.rep.degree for c in invariant_class_basis(pair, 4)]
+        assert degrees == sorted(degrees)
+        assert invariant_class_filtered_dims(pair, 4) == [
+            sum(1 for d in degrees if d <= e) for e in range(5)]
 
 
 def test_invariant_class_basis_is_invariant(pairs):
