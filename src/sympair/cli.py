@@ -240,6 +240,8 @@ def _polarize_one(pair, f, pol, tag, checks):
 
 
 def cmd_polarize(args):
+    if args.count < 0:
+        raise UsageError("polarize count must be nonnegative")
     pair, digest = load_pair(args.target)
     checks = []
     options = {"seed": args.seed, "count": args.count, "form": args.form}
@@ -260,6 +262,8 @@ def cmd_polarize(args):
 
 
 def cmd_rouviere(args):
+    if args.degree < 0:
+        raise UsageError("rouviere degree must be nonnegative")
     pair, digest = load_pair(args.target)
     hom = verify_rouviere_homomorphism(pair, args.degree)
     comm = commutativity_check(pair, args.degree)

@@ -2,11 +2,16 @@
 
 Scalars are fractions.Fraction throughout, so every result is exact and in
 lowest terms.  Vectors are plain tuples of Fractions; matrices are small dense
-immutable objects.  Everything downstream (Lie brackets, eigensplits, series)
-is built on the handful of kernels here: rref, kernel, solve, charpoly,
-rational_roots, jordan_chevalley.
+immutable objects.  Everything downstream (Lie brackets, spectral splits,
+series) is built on the handful of kernels here: rref, kernel, solve,
+lin_comb, charpoly and rational_roots, whose exact Sturm isolation answers in
+time bounded by the degree and the coefficient sizes.  jordan_chevalley
+(a Newton iteration on the squarefree part), poly_xgcd and minpoly are kept
+as independently tested kernels; the polarization recursion reads its Jordan
+parts off the generalized eigenspaces instead.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import NonRationalSpectrum
@@ -45,6 +50,12 @@ def vec_dot(u, v):
 
 def vec_is_zero(u):
     return all(a == 0 for a in u)
+
+
+def lin_comb(coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i]; there must be at least one vector."""
+    return tuple(sum((c * x for c, x in zip(coeffs, col) if c), Fraction(0))
+                 for col in zip(*vectors))
 
 
 class Mat:
@@ -242,13 +253,7 @@ def intersect_spans(abasis, bbasis):
         return ()
     cols = [list(v) for v in abasis] + [list(vec_scale(-1, v)) for v in bbasis]
     ker = kernel(Mat.from_columns(cols))
-    vecs = []
-    for w in ker:
-        v = zero_vec(len(abasis[0]))
-        for c, av in zip(w[: len(abasis)], abasis):
-            v = vec_add(v, vec_scale(c, av))
-        vecs.append(v)
-    return echelon_basis(vecs)
+    return echelon_basis([lin_comb(w[: len(abasis)], abasis) for w in ker])
 
 
 def sum_spans(abasis, bbasis):
@@ -396,22 +401,58 @@ def charpoly(m):
     return UniPoly(coeffs)
 
 
-def _int_divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _integer_form(p):
+    """Positive multiple of p with coprime integer coefficients."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _sturm_sequence(p):
+    """Sturm sequence of a squarefree p, each term in integer form."""
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        seq.append((seq[-2] % seq[-1]).scale(-1))
+    return [_integer_form(q) for q in seq]
+
+
+def _sign_variations(seq, x):
+    n, d = x.numerator, x.denominator
+    values = [sum(c * n ** i * d ** (len(q) - 1 - i) for i, c in enumerate(q))
+              for q in seq]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _real_root_midpoints(seq, bound, width):
+    """Increasing midpoints of intervals narrower than width, one around
+    each real root of seq[0] in (-bound, bound].  By Sturm's theorem seq[0]
+    has V(a) - V(b) roots in (a, b]."""
+    lo, hi = Fraction(-bound), Fraction(bound)
+    stack = [(lo, hi, _sign_variations(seq, lo), _sign_variations(seq, hi))]
+    mids = []
+    while stack:
+        a, b, va, vb = stack.pop()
+        m = (a + b) / 2
+        if va - vb == 1 and b - a < width:
+            mids.append(m)
+        elif va != vb:
+            vm = _sign_variations(seq, m)
+            stack += [(m, b, vm, vb), (a, m, va, vm)]
+    return mids
 
 
 def rational_roots(p):
-    """All roots with multiplicity, sorted; NonRationalSpectrum if any escape Q."""
+    """All roots with multiplicity, sorted; NonRationalSpectrum if any escape Q.
+
+    In integer form with leading coefficient L, the squarefree part q has
+    its rational roots among fractions with denominator dividing L, at
+    least 1/L^2 apart.  So each real root of q is isolated from Cauchy's
+    bound by Sturm bisection to width 1/(2 L^2), snapped to the nearest
+    fraction with denominator at most L and checked exactly: the time is
+    bounded by the degree and the coefficient sizes.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     roots = []
@@ -420,22 +461,12 @@ def rational_roots(p):
         roots.append(Fraction(0))
         work = UniPoly(work.coeffs[1:])
     if work.degree > 0:
-        den = 1
-        for c in work.coeffs:
-            den = den * c.denominator // _gcd_int(den, c.denominator)
-        ints = [c * den for c in work.coeffs]
-        lead = int(ints[-1])
-        trail = int(ints[0])
-        cands = []
-        for pn in _int_divisors(trail):
-            for qn in _int_divisors(lead):
-                cands.append(Fraction(pn, qn))
-                cands.append(Fraction(-pn, qn))
-        seen = set()
-        for r in cands:
-            if r in seen:
-                continue
-            seen.add(r)
+        q = work.squarefree_part()
+        seq = _sturm_sequence(q)
+        lead = seq[0][-1]
+        bound = 2 + int(max(abs(c) for c in q.coeffs[:-1]))
+        for mid in _real_root_midpoints(seq, bound, Fraction(1, 2 * lead * lead)):
+            r = mid.limit_denominator(lead)
             while work.degree > 0 and work.eval_scalar(r) == 0:
                 roots.append(r)
                 work = work // UniPoly([-r, 1])
@@ -444,12 +475,6 @@ def rational_roots(p):
             "polynomial of degree %d has no rational root" % work.degree
         )
     return sorted(roots)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def jordan_chevalley(m):

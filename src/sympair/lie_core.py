@@ -1,7 +1,8 @@
 """Lie algebras over Q given by structure constants, and the algorithms on
 them the rest of the toolkit leans on: axiom checking, centralizers of
 bilinear forms, generated subalgebras, nilpotency and solvability, radical
-and nilradical with verification, and eigenspace splitting of ad-operators.
+and nilradical with verification, and the spectral splitting of
+ad-operators into generalized eigenspaces.
 
 Elements are coordinate tuples in the defining basis.  Subspaces carry a
 canonical reduced echelon basis so equality and membership are exact.
@@ -21,6 +22,7 @@ from .exactla import (
     echelon_basis,
     intersect_spans,
     kernel,
+    lin_comb,
     pivot_columns,
     qvec,
     rational_roots,
@@ -153,11 +155,7 @@ class Subspace:
 
     def coords_of(self, v):
         """Coefficients of v in the echelon basis, or None if outside."""
-        coeffs = tuple(v[c] for c in self.pivots)
-        acc = zero_vec(self.parent.dim)
-        for c, row in zip(coeffs, self.basis):
-            acc = vec_add(acc, vec_scale(c, row))
-        return coeffs if acc == tuple(v) else None
+        return tuple(v[c] for c in self.pivots) if self.contains(v) else None
 
     def __eq__(self, other):
         return (
@@ -261,27 +259,12 @@ def centralizer_of_form(g, f):
 
 def _trace_form_kernel(h, domain_vectors, test_vectors):
     """Vectors x in span(domain) with tr(ad x ad y) = 0 for all test y; h abstract."""
-    ads = {}
-
-    def ad_of(v):
-        if v not in ads:
-            ads[v] = h.ad_matrix(v)
-        return ads[v]
-
-    rows = []
-    for y in test_vectors:
-        ady = ad_of(y)
-        rows.append(tuple((ad_of(x) * ady).trace() for x in domain_vectors))
-    coeffs = kernel(Mat(rows)) if rows else [
-        unit_vec(len(domain_vectors), i) for i in range(len(domain_vectors))
-    ]
-    out = []
-    for w in coeffs:
-        v = zero_vec(h.dim)
-        for c, x in zip(w, domain_vectors):
-            v = vec_add(v, vec_scale(c, x))
-        out.append(v)
-    return out
+    ads = {v: h.ad_matrix(v) for v in list(domain_vectors) + list(test_vectors)}
+    rows = [tuple((ads[x] * ads[y]).trace() for x in domain_vectors)
+            for y in test_vectors]
+    if not rows:
+        return list(domain_vectors)
+    return [lin_comb(w, domain_vectors) for w in kernel(Mat(rows))]
 
 
 def solvable_radical(s):
@@ -305,15 +288,7 @@ def solvable_radical(s):
     if not all(rad_h.contains(w)
                for w in _bracket_span(h, whole.basis, rad_h.basis)):
         raise RadicalVerificationFailed("candidate radical is not an ideal")
-    back = [_lift(s, v) for v in rad_h.basis]
-    return Subspace(g, back)
-
-
-def _lift(s, coords):
-    v = zero_vec(s.parent.dim)
-    for c, b in zip(coords, s.basis):
-        v = vec_add(v, vec_scale(c, b))
-    return v
+    return Subspace(g, [lin_comb(v, s.basis) for v in rad_h.basis])
 
 
 def nilradical(s):
@@ -335,7 +310,24 @@ def nilradical(s):
     if not all(nil_h.contains(w)
                for w in _bracket_span(h, whole.basis, nil_h.basis)):
         raise NilradicalVerificationFailed("candidate nilradical is not an ideal")
-    return Subspace(g, [_lift(s, v) for v in nil_h.basis])
+    return Subspace(g, [lin_comb(v, s.basis) for v in nil_h.basis])
+
+
+def spectral_split(g, x):
+    """Generalized eigenspaces of ad(x) over Q, which together fill g.
+
+    Returns the list of (lambda, ker (ad x - lambda)^m) sorted by lambda,
+    one entry per distinct root lambda, of multiplicity m, of the
+    characteristic polynomial of ad(x).  Raises NonRationalSpectrum if the
+    spectrum escapes Q.
+    """
+    ad = g.ad_matrix(x)
+    roots = rational_roots(charpoly(ad))
+    return [
+        (lam, Subspace(g, kernel((ad - Mat.identity(g.dim).scale(lam))
+                                 ** roots.count(lam))))
+        for lam in sorted(set(roots))
+    ]
 
 
 def eigensplit(g, x):
@@ -346,19 +338,9 @@ def eigensplit(g, x):
     NonRationalSpectrum if the spectrum escapes Q and NotSemisimple if the
     eigenspaces do not fill the whole space.
     """
-    ad = g.ad_matrix(x)
-    roots = rational_roots(charpoly(ad))
-    distinct = sorted(set(roots))
-    spaces = {}
-    total = 0
-    for lam in distinct:
-        shifted = ad - Mat.identity(g.dim).scale(lam)
-        spc = Subspace(g, kernel(shifted))
-        spaces[lam] = spc
-        total += spc.dim
-    if total != g.dim:
-        raise NotSemisimple("ad operator has a nonzero nilpotent part")
-    zero = Fraction(0)
-    g0 = spaces.get(zero, Subspace.zero(g))
-    parts = [(lam, spaces[lam]) for lam in distinct if lam != zero]
-    return g0, parts
+    spaces = spectral_split(g, x)
+    for lam, spc in spaces:
+        if any(g.bracket(x, v) != vec_scale(lam, v) for v in spc.basis):
+            raise NotSemisimple("ad operator has a nonzero nilpotent part")
+    g0 = dict(spaces).get(Fraction(0), Subspace.zero(g))
+    return g0, [(lam, spc) for lam, spc in spaces if lam != 0]

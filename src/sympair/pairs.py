@@ -20,11 +20,11 @@ from . import lie_core
 from .exactla import (
     Mat,
     kernel,
+    lin_comb,
     qvec,
     rank,
     solve,
     unit_vec,
-    vec_add,
     vec_is_zero,
     vec_scale,
     zero_vec,
@@ -88,16 +88,10 @@ class SymmetricPair:
         return w[: self.k_dim], w[self.k_dim:]
 
     def from_k_coords(self, kc):
-        out = zero_vec(self.g.dim)
-        for c, b in zip(kc, self.k_basis.basis):
-            out = vec_add(out, vec_scale(c, b))
-        return out
+        return lin_comb(kc, self.k_basis.basis) or self.g.zero()
 
     def from_p_coords(self, pc):
-        out = zero_vec(self.g.dim)
-        for c, b in zip(pc, self.p_basis.basis):
-            out = vec_add(out, vec_scale(c, b))
-        return out
+        return lin_comb(pc, self.p_basis.basis) or self.g.zero()
 
     def __repr__(self):
         return "SymmetricPair(%s, dim=%d, k=%d, p=%d)" % (
@@ -434,13 +428,8 @@ def subpair(pair, sub, name=None):
 def restrict_form(pair, f, restricted, embed):
     """Coordinates of f on the p basis of a restricted pair."""
     fg = form_on_g(pair, f)
-    out = []
-    for pb in restricted.p_basis.basis:
-        v = zero_vec(pair.g.dim)
-        for c, b in zip(pb, embed):
-            v = vec_add(v, vec_scale(c, b))
-        out.append(sum((a * w for a, w in zip(fg, v)), Fraction(0)))
-    return tuple(out)
+    return tuple(sum((a * w for a, w in zip(fg, lin_comb(pb, embed))), Fraction(0))
+                 for pb in restricted.p_basis.basis)
 
 
 # ---------------------------------------------------------------------------

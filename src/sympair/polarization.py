@@ -1,12 +1,14 @@
 """Recursive construction of polarizations adapted to a symmetric pair.
 
-Given a regular form f on p, the dual element x_f in k is split into
-commuting semisimple and nilpotent parts through the exact Jordan
-decomposition of ad(x_f).  When the semisimple part acts nontrivially, g
-splits into rational ad(x_s)-eigenspaces; the sum n of the positive ones is
-bracket-closed and sigma-stable, and the construction recurses on the
-kernel, which inherits the whole structure.  At the bottom, either p
-brackets to zero (then p + k^f works) or the form's centralizer is
+Given a regular form f on p, each level takes one spectral split of
+ad(x_f), for the dual element x_f in k: one characteristic polynomial,
+its rational roots, and the generalized eigenspaces V_lambda.  The
+semisimple part x_s of x_f is the k element acting by lambda on each
+V_lambda, found by one linear solve, and the V_lambda are the
+ad(x_s)-eigenspaces.  When x_s acts nontrivially, the sum n of the
+positive ones is bracket-closed and sigma-stable, and the construction
+recurses on V_0, which inherits the whole structure.  At the bottom, either
+p brackets to zero (then p + k^f works) or the form's centralizer is
 everything (then the whole algebra is the answer); anything else is
 reported as unsupported rather than guessed at.
 
@@ -24,8 +26,8 @@ from .errors import (
     NonRationalSpectrum,
     NotSemisimple,
 )
-from .exactla import Mat, jordan_chevalley, solve, vec_add, vec_is_zero, vec_scale, vec_sub
-from .lie_core import Subspace, eigensplit, nilradical
+from .exactla import Mat, lin_comb, solve, vec_is_zero, vec_sub
+from .lie_core import Subspace, nilradical, spectral_split
 from .pairs import (
     bf_matrix,
     form_centralizer,
@@ -86,30 +88,27 @@ class Polarization:
             self.b.dim, self.base_case, len(self.trace))
 
 
-def _semisimple_part_in_k(pair, x_f):
-    """x_s, x_u in g with ad(x_s) the semisimple part of ad(x_f), x_s in k."""
+def _semisimple_part_in_k(pair, spaces):
+    """x_s in k with ad(x_s) v = lambda v on each generalized eigenspace
+    V_lambda of ad(x_f), which makes ad(x_s) the semisimple part of ad(x_f):
+    one solve over the columns ad(k_i) v, stacked over the bases of the V's."""
     g = pair.g
-    admat = g.ad_matrix(x_f)
-    s_mat, _ = jordan_chevalley(admat)
-    if s_mat.is_zero():
-        return g.zero(), x_f, s_mat
-    cols = [g.ad_matrix(b).vec() for b in pair.k_basis.basis]
-    coeffs = solve(Mat.from_columns(cols), s_mat.vec())
+    vectors = [(lam, v) for lam, spc in spaces for v in spc.basis]
+    cols = [[c for _, v in vectors for c in g.bracket(k, v)]
+            for k in pair.k_basis.basis]
+    rhs = [lam * c for lam, v in vectors for c in v]
+    coeffs = solve(Mat.from_columns(cols), rhs)
     if coeffs is None:
         raise AdjointNotInK("semisimple part of ad(x_f) is not ad of any k element")
-    x_s = pair.from_k_coords(coeffs)
-    x_u = vec_sub(x_f, x_s)
-    if not vec_is_zero(g.bracket(x_s, x_u)):
-        raise NotSemisimple("extracted Jordan parts do not commute in g")
-    return x_s, x_u, s_mat
+    return pair.from_k_coords(coeffs)
 
 
 def _construct(pair, f, steps):
     g = pair.g
     x_f = xf_of_form(pair, f)
-    x_s, x_u, s_mat = _semisimple_part_in_k(pair, x_f)
-    if s_mat.is_zero():
-        steps.append(RecursionStep(pair, f, x_f, x_s, x_u, (), (), 0))
+    spaces = spectral_split(g, x_f)
+    if all(lam == 0 for lam, _ in spaces):
+        steps.append(RecursionStep(pair, f, x_f, g.zero(), x_f, (), (), 0))
         pb = pair.p_basis.basis
         if all(vec_is_zero(g.bracket(a, b)) for a in pb for b in pb):
             gf = form_centralizer(pair, f)
@@ -119,34 +118,27 @@ def _construct(pair, f, steps):
             return [g.basis_vector(i) for i in range(g.dim)], "CentralSemisimplePart"
         raise BaseCaseUnsupported(
             "x_s acts trivially but [p, p] != 0 and the form is nonzero")
-    g0, parts = eigensplit(g, x_s)
-    for _, spc in [(Fraction(0), g0)] + parts:
-        for v in spc.basis:
-            if not spc.contains(pair.sigma_apply(v)):
-                raise AssertionError("eigenspace of a k element not sigma-stable")
-    eigenvalues = []
-    for lam, spc in parts:
-        eigenvalues.extend([lam] * spc.dim)
-    delta = tuple(sorted({lam for lam, _ in parts if lam > 0}))
-    n_vectors = []
-    for lam, spc in parts:
-        if lam > 0:
-            n_vectors.extend(spc.basis)
+    x_s = _semisimple_part_in_k(pair, spaces)
+    x_u = vec_sub(x_f, x_s)
+    if not vec_is_zero(g.bracket(x_s, x_u)):
+        raise NotSemisimple("extracted Jordan parts do not commute in g")
+    if not all(spc.contains(pair.sigma_apply(v)) for _, spc in spaces for v in spc.basis):
+        raise AssertionError("eigenspace of a k element not sigma-stable")
+    # x_f != 0 here, and ad(x_f) kills it, so 0 is always an eigenvalue.
+    g0 = dict(spaces)[0]
+    parts = [(lam, spc) for lam, spc in spaces if lam != 0]
+    eigenvalues = tuple(lam for lam, spc in parts for _ in spc.basis)
+    delta = tuple(lam for lam, _ in parts if lam > 0)
+    n_vectors = [v for lam, spc in parts if lam > 0 for v in spc.basis]
     sub, embed = subpair(pair, g0)
     if sub.g.dim >= g.dim:
         raise AssertionError("recursion did not shrink the algebra")
     f_sub = restrict_form(pair, f, sub, embed)
-    steps.append(RecursionStep(pair, f, x_f, x_s, x_u, tuple(eigenvalues),
+    steps.append(RecursionStep(pair, f, x_f, x_s, x_u, eigenvalues,
                                delta, len(n_vectors), g0=g0, parts=parts,
                                sub=sub, f_sub=f_sub, embed=embed))
     sub_vectors, tag = _construct(sub, f_sub, steps)
-    pulled = []
-    for w in sub_vectors:
-        v = g.zero()
-        for c, b in zip(w, embed):
-            v = vec_add(v, vec_scale(c, b))
-        pulled.append(v)
-    return pulled + n_vectors, tag
+    return [lin_comb(w, embed) for w in sub_vectors] + n_vectors, tag
 
 
 def construct_polarization(pair, f):

@@ -4,10 +4,11 @@ and byte-level determinism of repeated runs."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from sympair.cli import SCHEMA_VERSION, pair_to_doc
+from sympair.cli import SCHEMA_VERSION, main, pair_to_doc
 from sympair.pairs import builtin_pair
 
 
@@ -106,6 +107,27 @@ def test_odd_jfunction_degree_is_usage_error():
     assert proc.returncode == 2
     doc = json.loads(proc.stdout)
     assert doc["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("polarize", "swap:sl2", "--count", "-3"),
+    ("rouviere", "swap:sl2", "--degree", "-2"),
+])
+def test_negative_count_or_degree_is_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "UsageError"
+
+
+def test_large_rational_form_fails_fast(capsys):
+    """|a0| ~ 1e24 in the characteristic polynomial: a structured exit-2
+    error within a second, not a divisor enumeration that never returns."""
+    start = time.perf_counter()
+    code = main(["polarize", "swap:sl2", "--form", "1000003,999983,1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "NonRationalSpectrum"
 
 
 def test_malformed_json_file(tmp_path):

@@ -2,6 +2,7 @@
 characteristic polynomials, root finding, and the Jordan decomposition."""
 
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -267,6 +268,25 @@ def test_rational_roots_raises_on_irrational():
     t2 = UniPoly((Q(-2), Q(0), Q(1)))
     with pytest.raises(NonRationalSpectrum):
         rational_roots(t2)
+
+
+def test_rational_roots_bounded_time_on_large_coefficients():
+    """Divisor enumeration would trial-divide up to sqrt(|a0|) ~ 1e12 here;
+    the roots +-sqrt(1000009999941)/8 are real, double and irrational."""
+    t = UniPoly((Q(0), Q(1)))
+    quartic = UniPoly((Q(1000019999981998820003481), Q(0),
+                       Q(-128 * 1000009999941), Q(0), Q(4096)))
+    start = time.perf_counter()
+    with pytest.raises(NonRationalSpectrum):
+        rational_roots(t * t * quartic)
+    assert time.perf_counter() - start < 1.0
+    roots = [Q(-999983), Q(1, 4096), Q(1000003, 999983), Q(1000003, 999983)]
+    poly = UniPoly((Q(1),))
+    for r in roots:
+        poly = poly * UniPoly((-r, Q(1)))
+    start = time.perf_counter()
+    assert rational_roots(poly.scale(Q(7, 3))) == roots
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_matrix_is_horner_consistent():

@@ -26,6 +26,7 @@ from sympair.lie_core import (
     lower_central_series,
     nilradical,
     solvable_radical,
+    spectral_split,
     subalgebra_generated,
 )
 from sympair.pairs import abelian2, aff1, heis3, killing_form, sl2
@@ -277,6 +278,29 @@ def test_eigensplit_grading_property():
             for a in sa.basis:
                 for b in sb.basis:
                     assert tgt.contains(g.bracket(a, b))
+
+
+def test_spectral_split_of_non_semisimple_element():
+    # ad(t) is a Jordan block of eigenvalue 1 on the abelian ideal <a, b>
+    g = LieAlgebra.from_sparse(
+        3, [(0, 1, (0, 1, 0)), (0, 2, (0, 1, 1))], labels=("t", "a", "b"))
+    assert check_axioms(g) == []
+    t = (Q(1), Q(0), Q(0))
+    spaces = spectral_split(g, t)
+    assert [(lam, spc.dim) for lam, spc in spaces] == [(Q(0), 1), (Q(1), 2)]
+    assert spaces[0][1].contains(t)
+    assert sum(spc.dim for _, spc in spaces) == g.dim
+    with pytest.raises(NotSemisimple):
+        eigensplit(g, t)
+    # nilpotent E of sl2: one generalized space, all of g
+    e_spaces = spectral_split(sl2(), (Q(0), Q(1), Q(0)))
+    assert [(lam, spc.dim) for lam, spc in e_spaces] == [(Q(0), 3)]
+    # semisimple x: the generalized spaces are the eigensplit's pieces
+    x = (Q(1), Q(0), Q(0), Q(2), Q(0))
+    g2 = sl2_plus_aff1()
+    g0, parts = eigensplit(g2, x)
+    assert spectral_split(g2, x) == sorted([(Q(0), g0)] + parts,
+                                           key=lambda item: item[0])
 
 
 def test_eigensplit_error_paths():

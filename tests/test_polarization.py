@@ -5,18 +5,25 @@ direction, the semisimple anchor is the first base vector, the graded
 pieces are one-dimensional of weights +1 and -1, and the polarization is
 spanned by both plus-weight vectors and the fixed line."""
 
+import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
-from sympair.errors import BaseCaseUnsupported
-from sympair.lie_core import Subspace
+from sympair import exactla
+from sympair.errors import BaseCaseUnsupported, NonRationalSpectrum
+from sympair.exactla import Mat, jordan_chevalley, solve, vec_sub
+from sympair.lie_core import Subspace, eigensplit
 from sympair.pairs import (
     form_centralizer,
+    is_regular,
     kf_pf,
+    random_form,
     xf_of_form,
 )
 from sympair.polarization import (
+    _construct,
     construct_polarization,
     pukanszky_check,
     sample_polarizable_forms,
@@ -182,3 +189,65 @@ def test_polarization_dimension_formula_holds(pairs):
         for f, pol in found:
             gf = form_centralizer(pair, f)
             assert 2 * pol.b.dim == pair.g.dim + gf.dim
+
+
+# ------------------------------------------------ one spectral split a level
+
+def newton_split(pair, x_f):
+    """Oracle: the semisimple part of ad(x_f) by the Newton Jordan split,
+    solved for in k, then the eigensplit of ad(x_s).  Returns
+    (x_s, x_u, g0, parts), with g0 and parts None when ad(x_f) is nilpotent."""
+    g = pair.g
+    s_mat, _ = jordan_chevalley(g.ad_matrix(x_f))
+    if s_mat.is_zero():
+        return g.zero(), x_f, None, None
+    cols = [g.ad_matrix(k).vec() for k in pair.k_basis.basis]
+    x_s = pair.from_k_coords(solve(Mat.from_columns(cols), s_mat.vec()))
+    g0, parts = eigensplit(g, x_s)
+    return x_s, vec_sub(x_f, x_s), g0, parts
+
+
+def test_spectral_levels_match_newton_jordan_oracle(pairs):
+    """Every level of accepted and rejected regular forms alike; a rejected
+    form fails at the level below its last recorded step."""
+    for pair in pairs.values():
+        rng = random.Random(4)
+        for _ in range(20):
+            f = random_form(pair, rng)
+            if not is_regular(pair, f):
+                continue
+            steps = []
+            try:
+                _construct(pair, f, steps)
+            except NonRationalSpectrum:
+                sub, f_sub = (steps[-1].sub, steps[-1].f_sub) if steps else (pair, f)
+                with pytest.raises(NonRationalSpectrum):
+                    newton_split(sub, xf_of_form(sub, f_sub))
+            except BaseCaseUnsupported:
+                pass
+            for step in steps:
+                assert newton_split(step.pair, step.x_f) == (
+                    step.x_s, step.x_u, step.g0, step.parts)
+
+
+def test_one_charpoly_per_level_and_no_newton_split(pairs, monkeypatch):
+    calls = {"charpoly": 0, "jordan_chevalley": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        fn = getattr(exactla, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("sympair") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    for pair in pairs.values():
+        found, _ = sample_polarizable_forms(pair, seed=1, count=2)
+        for f, _ in found:
+            calls["charpoly"] = 0
+            pol = construct_polarization(pair, f)
+            assert calls["charpoly"] == len(pol.trace)
+    assert calls["jordan_chevalley"] == 0
