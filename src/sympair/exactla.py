@@ -1,17 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Scalars are fractions.Fraction throughout, so every result is exact and in
-lowest terms.  Vectors are plain tuples of Fractions; matrices are small dense
-immutable objects.  Everything downstream (Lie brackets, spectral splits,
-series) is built on the handful of kernels here: rref, kernel, solve,
-lin_comb, charpoly and rational_roots, whose exact Sturm isolation answers in
-time bounded by the degree and the coefficient sizes.  jordan_chevalley
-(a Newton iteration on the squarefree part), poly_xgcd and minpoly are kept
-as independently tested kernels; the polarization recursion reads its Jordan
-parts off the generalized eigenspaces instead.
+Scalars are fractions.Fraction at every interface, so every result is exact
+and in lowest terms.  Vectors are plain tuples of Fractions; matrices are
+small dense immutable objects.  The hot kernels compute over Python ints
+and normalize to Fractions only at the boundary: rref clears each row to a
+primitive integer row, eliminates fraction-free and divides by the pivots
+at the end, which gives the unique reduced echelon form; charpoly runs
+Berkowitz's division-free algorithm on d*m, d the lcm of the entries'
+denominators, and rescales the coefficients; matrix products clear
+denominators the same way.  Everything downstream (Lie brackets, spectral
+splits, series) is built on the handful of kernels here: rref, kernel,
+solve, lin_comb, charpoly and rational_roots, whose exact Sturm isolation
+answers in time bounded by the degree and the coefficient sizes.
+jordan_chevalley (a Newton iteration on the squarefree part), poly_xgcd
+and minpoly are kept as independently tested kernels; the polarization
+recursion reads its Jordan parts off the generalized eigenspaces instead.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import NonRationalSpectrum
@@ -20,7 +27,7 @@ Q = Fraction
 
 
 def qvec(values):
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def zero_vec(n):
@@ -64,7 +71,7 @@ class Mat:
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        entries = tuple(qvec(row) for row in rows)
         if entries:
             width = len(entries[0])
             if any(len(r) != width for r in entries):
@@ -100,9 +107,6 @@ class Mat:
     def column(self, j):
         return tuple(r[j] for r in self.entries)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def __eq__(self, other):
         return isinstance(other, Mat) and self.entries == other.entries
 
@@ -119,8 +123,12 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            ocols = other.columns()
-            return Mat([[vec_dot(r, c) for c in ocols] for r in self.entries])
+            a, da = _clear_denominators(self.entries)
+            b, db = _clear_denominators(other.entries)
+            bcols = list(zip(*b))
+            d = da * db
+            return Mat([[Fraction(sum(map(operator.mul, r, c)), d) for c in bcols]
+                        for r in a])
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -162,28 +170,50 @@ class Mat:
         return "Mat(%r)" % [[str(x) for x in r] for r in self.entries]
 
 
+def _clear_denominators(rows):
+    """(A, d): d is the lcm of the entries' denominators and A = d*rows over int."""
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def _primitive(row):
+    """Integer row with the direction of row and coprime entries."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def rref(m):
-    """Reduced row echelon form.  Returns (Mat, pivot column tuple)."""
-    rows = [list(r) for r in m.entries]
+    """Reduced row echelon form.  Returns (Mat, pivot column tuple).
+
+    Each row is cleared to a primitive integer row and eliminated over the
+    integers, dividing out the content after every update; the pivots are
+    divided out only at the end.  The reduced echelon form is unique, so
+    this is the same Mat as Gauss-Jordan over Fraction.
+    """
+    rows = [_primitive(r) for r in _clear_denominators(m.entries)[0]]
     nr, nc = len(rows), m.cols
     pivots = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-    return Mat(rows), tuple(pivots)
+    zero = Fraction(0)
+    out = [tuple(Fraction(x, row[c]) if x else zero for x in row)
+           for row, c in zip(rows, pivots)]
+    out += [(zero,) * nc] * (nr - r)
+    return Mat(out), tuple(pivots)
 
 
 def rank(m):
@@ -387,26 +417,37 @@ def poly_xgcd(a, b):
 
 
 def charpoly(m):
-    """det(t*I - m) by the Faddeev-LeVerrier recurrence, exact and monic."""
+    """det(t*I - m), exact and monic, by Berkowitz's division-free algorithm.
+
+    With d the lcm of the entries' denominators, A = d*m is an integer
+    matrix.  Berkowitz builds the characteristic polynomial of each leading
+    principal block of A from the previous one by a Toeplitz product, using
+    only ring operations; the coefficient of t^i is then c_i / d^(n-i).
+    """
     n = m.rows
     if n != m.cols:
         raise ValueError("charpoly of non-square matrix")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = Mat.identity(n)
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = m * mk + Mat.identity(n).scale(coeffs[n - k + 1])
-        coeffs[n - k] = -(m * mk).trace() / k
-    return UniPoly(coeffs)
+    a, d = _clear_denominators(m.entries)
+    poly = [1]  # highest degree first
+    for k in range(n):
+        # Toeplitz column 1, -a_kk, -R C, -R M C, ..., -R M^(k-1) C for the
+        # block [[M, C], [R, a_kk]] of the leading (k+1) x (k+1) minor.
+        block = [r[:k] for r in a[:k]]
+        row = a[k][:k]
+        col = [r[k] for r in a[:k]]
+        toep = [1, -a[k][k]]
+        for _ in range(k):
+            toep.append(-sum(map(operator.mul, row, col)))
+            col = [sum(map(operator.mul, r, col)) for r in block]
+        poly = [sum(toep[i - j] * poly[j]
+                    for j in range(max(0, i - k - 1), min(i, k) + 1))
+                for i in range(k + 2)]
+    return UniPoly([Fraction(c, d ** i) for i, c in enumerate(poly)][::-1])
 
 
 def _integer_form(p):
     """Positive multiple of p with coprime integer coefficients."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
+    return _primitive(_clear_denominators([p.coeffs])[0][0])
 
 
 def _sturm_sequence(p):

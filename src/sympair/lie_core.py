@@ -4,8 +4,11 @@ bilinear forms, generated subalgebras, nilpotency and solvability, radical
 and nilradical with verification, and the spectral splitting of
 ad-operators into generalized eigenspaces.
 
-Elements are coordinate tuples in the defining basis.  Subspaces carry a
-canonical reduced echelon basis so equality and membership are exact.
+Elements are coordinate tuples in the defining basis.  Besides the dense
+table, an algebra keeps its structure constants sparse: for each pair of
+basis vectors, the nonzero (l, c) of their bracket.  bracket, ad_matrix and
+form_matrix iterate over those alone.  Subspaces carry a canonical reduced
+echelon basis so equality and membership are exact.
 """
 
 from fractions import Fraction
@@ -30,6 +33,7 @@ from .exactla import (
     sum_spans,
     unit_vec,
     vec_add,
+    vec_dot,
     vec_is_zero,
     vec_scale,
     zero_vec,
@@ -46,6 +50,11 @@ class LieAlgebra:
             raise ValueError("structure table shape mismatch")
         if any(len(v) != dim for row in self.table for v in row):
             raise ValueError("structure constant vector length mismatch")
+        # constants[i][j]: the nonzero (l, c) with c the b_l coordinate of [b_i, b_j]
+        self.constants = tuple(
+            tuple(tuple((l, c) for l, c in enumerate(v) if c) for v in row)
+            for row in self.table
+        )
         self.labels = tuple(labels) if labels else tuple(
             "b%d" % (i + 1) for i in range(dim)
         )
@@ -70,26 +79,27 @@ class LieAlgebra:
         return unit_vec(self.dim, i)
 
     def bracket(self, x, y):
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
+        out = [Fraction(0)] * self.dim
+        for xi, row in zip(x, self.constants):
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.table[i][j]))
-        return out
+            for yj, consts in zip(y, row):
+                if yj:
+                    xy = xi * yj
+                    for l, c in consts:
+                        out[l] += xy * c
+        return tuple(out)
 
     def ad_matrix(self, x):
         """Matrix of ad(x) = [x, .] acting on coordinate columns."""
-        cols = []
-        for j in range(self.dim):
-            col = zero_vec(self.dim)
-            for i, xi in enumerate(x):
-                if xi != 0:
-                    col = vec_add(col, vec_scale(xi, self.table[i][j]))
-            cols.append(col)
-        return Mat.from_columns(cols)
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for xi, row in zip(x, self.constants):
+            if not xi:
+                continue
+            for j, consts in enumerate(row):
+                for l, c in consts:
+                    rows[l][j] += xi * c
+        return Mat(rows)
 
     def __repr__(self):
         return "LieAlgebra(%s, dim=%d)" % (self.name, self.dim)
@@ -245,23 +255,26 @@ def induced_structure(s):
     return LieAlgebra(d, table, name=g.name + "|sub")
 
 
+def form_matrix(g, f):
+    """Gram matrix of the skew form (x, y) -> f([x, y]) on the basis of g;
+    f is a coordinate form on g."""
+    f = qvec(f)
+    return Mat([[sum((f[l] * c for l, c in consts), Fraction(0)) for consts in row]
+                for row in g.constants])
+
+
 def centralizer_of_form(g, f):
     """Kernel of the skew form (x, y) -> f([x, y]); f is a coordinate form on g."""
-    f = qvec(f)
-    rows = []
-    for i in range(g.dim):
-        rows.append(tuple(
-            sum((fc * w for fc, w in zip(f, g.table[i][j])), Fraction(0))
-            for j in range(g.dim)
-        ))
-    return Subspace(g, kernel(Mat(rows)))
+    return Subspace(g, kernel(form_matrix(g, f)))
 
 
 def _trace_form_kernel(h, domain_vectors, test_vectors):
     """Vectors x in span(domain) with tr(ad x ad y) = 0 for all test y; h abstract."""
     ads = {v: h.ad_matrix(v) for v in list(domain_vectors) + list(test_vectors)}
-    rows = [tuple((ads[x] * ads[y]).trace() for x in domain_vectors)
-            for y in test_vectors]
+    # tr(X Y) is the dot product of X and Y^T flattened: no matrix product
+    flat = [ads[x].vec() for x in domain_vectors]
+    rows = [tuple(vec_dot(fx, yt) for fx in flat)
+            for yt in (ads[y].transpose().vec() for y in test_vectors)]
     if not rows:
         return list(domain_vectors)
     return [lin_comb(w, domain_vectors) for w in kernel(Mat(rows))]

@@ -29,7 +29,7 @@ from .exactla import (
     vec_scale,
     zero_vec,
 )
-from .lie_core import LieAlgebra, Subspace, centralizer_of_form
+from .lie_core import LieAlgebra, Subspace, centralizer_of_form, form_matrix
 
 
 class SymmetricPair:
@@ -187,14 +187,8 @@ def delta_character(pair):
 
 def form_on_g(pair, f):
     """Extend a p-form by zero on k to a coordinate form on all of g."""
-    f = qvec(f)
     _, tinv = pair._split_matrix()
-    kd = pair.k_dim
-    return tuple(
-        sum((f[t] * tinv.entries[kd + t][j] for t in range(pair.p_dim)),
-            Fraction(0))
-        for j in range(pair.g.dim)
-    )
+    return lin_comb(qvec(f), tinv.entries[pair.k_dim:]) or pair.g.zero()
 
 
 def form_value(pair, f, v):
@@ -218,10 +212,7 @@ def xf_of_form(pair, f):
 
 def bf_matrix(pair, f):
     """Gram matrix of the skew form (x, y) -> f([x, y]) on the g basis."""
-    fg = form_on_g(pair, f)
-    g = pair.g
-    return Mat([[sum((a * b for a, b in zip(fg, g.table[i][j])), Fraction(0))
-                 for j in range(g.dim)] for i in range(g.dim)])
+    return form_matrix(pair.g, form_on_g(pair, f))
 
 
 def form_centralizer(pair, f):
@@ -241,6 +232,11 @@ def random_form(pair, rng):
     )
 
 
+def _centralizer_dim(pair, f):
+    """dim g^f, the corank of the skew form f([., .])."""
+    return pair.g.dim - rank(bf_matrix(pair, f))
+
+
 def regular_min_dim(pair, seed=0, samples=200):
     """Smallest dim g^f seen over a seeded sample; cached per (seed, samples)."""
     key = ("regmin", seed, samples)
@@ -250,7 +246,7 @@ def regular_min_dim(pair, seed=0, samples=200):
         best_f = None
         for _ in range(samples):
             f = random_form(pair, rng)
-            d = form_centralizer(pair, f).dim
+            d = _centralizer_dim(pair, f)
             if d < best:
                 best, best_f = d, f
         pair._caches[key] = (best, best_f)
@@ -266,7 +262,7 @@ def is_regular(pair, f, seed=0, samples=200):
     """Whether dim g^f matches the sampled minimum.  A sampling certificate,
     not a proof of genericity."""
     best, _ = regular_min_dim(pair, seed, samples)
-    return form_centralizer(pair, f).dim == best
+    return _centralizer_dim(pair, f) == best
 
 
 class RegularityConditions:

@@ -150,6 +150,30 @@ def test_failing_checks_exit_one(tmp_path):
     assert any(c["status"] == "fail" for c in report["checks"])
 
 
+@pytest.mark.parametrize("argv, code, kind", [
+    (("check-pair",), 1, None),
+    (("polarize", "--count", "1"), 2, "ValidationError"),
+    (("rouviere", "--degree", "2"), 2, "ValidationError"),
+    (("jfunction", "--degree", "2"), 2, "ValidationError"),
+])
+def test_invalid_json_pair_exit_code(tmp_path, argv, code, kind):
+    """Only check-pair reports a failing document as failed checks; the
+    other subcommands reject it with a structured ValidationError."""
+    doc = pair_to_doc(builtin_pair("cotangent:aff1"))
+    doc["B"] = [["1/1" if i == j else "0/1" for j in range(4)] for i in range(4)]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == code
+    report = json.loads(proc.stdout)
+    if kind is None:
+        assert report["passed"] is False
+        assert any(c["status"] == "fail" for c in report["checks"])
+    else:
+        assert report["error"]["type"] == kind
+        assert "B not invariant" in report["error"]["message"]
+
+
 # -------------------------------------------------------------- file input
 
 def test_json_roundtrip_of_builtin(tmp_path):

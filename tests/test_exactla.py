@@ -90,6 +90,8 @@ class PolyTuple:
 def charpoly_oracle(m):
     """det(t I - m) expanded by cofactors with hand-rolled tuple polys."""
     n = m.rows
+    if n == 0:
+        return (Q(1),)
     rows = [
         [
             PolyTuple((-m.entries[i][j], Q(1)) if i == j else (-m.entries[i][j],))
@@ -109,6 +111,37 @@ def rand_mat(rng, n, lo=-5, hi=5, dens=3):
     )
 
 
+def rref_oracle(m):
+    """Gauss-Jordan over Fraction: scale each pivot row to a leading 1 and
+    clear its column in every other row."""
+    rows = [list(r) for r in m.entries]
+    nr, nc = len(rows), m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(rows), tuple(pivots)
+
+
+def rand_rational(rng, density=1.0):
+    if rng.random() >= density:
+        return Q(0)
+    return Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12, 97)))
+
+
 # -------------------------------------------------------------- charpoly
 
 def test_charpoly_matches_cofactor_oracle():
@@ -116,6 +149,9 @@ def test_charpoly_matches_cofactor_oracle():
     for _ in range(25):
         n = rng.randint(1, 5)
         m = rand_mat(rng, n)
+        assert charpoly(m).coeffs == charpoly_oracle(m)
+    for n in (0, 6, 6, 6, 4, 3):
+        m = rand_mat(rng, n, lo=-97, hi=97, dens=rng.choice((13, 45, 97)))
         assert charpoly(m).coeffs == charpoly_oracle(m)
 
 
@@ -158,6 +194,34 @@ def test_rref_postconditions():
         rrows = echelon_basis([row for row in r.entries if any(row)])
         assert all(in_span(rrows, row) for row in mrows)
         assert all(in_span(mrows, row) for row in rrows)
+
+
+def test_rref_matches_fraction_oracle():
+    rng = random.Random(14)
+    # Mat([]) is the 0 x n case: a Mat with no rows has no width to keep
+    cases = [Mat([]), Mat([[]]), Mat([[], [], []])]
+    for _ in range(60):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [[rand_rational(rng, rng.choice((0.3, 1.0))) for _ in range(nc)]
+                for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.5:
+            # a dependent row: forces a zero row in the reduced form
+            a, b = rng.sample(range(nr), 2)
+            rows[b] = [Q(rng.randint(-3, 3), rng.choice((1, 7))) * x for x in rows[a]]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nr)] = [Q(0)] * nc
+        cases.append(Mat(rows))
+    # tall and wide full shapes at the size limit
+    cases.append(Mat([[rand_rational(rng) for _ in range(5)] for _ in range(12)]))
+    cases.append(Mat([[rand_rational(rng) for _ in range(12)] for _ in range(5)]))
+    # one large sparse matrix, rank deficient through repeated rows
+    big = [[rand_rational(rng, 0.04) for _ in range(80)] for _ in range(200)]
+    big[150:] = big[:50]
+    cases.append(Mat(big))
+    for m in cases:
+        red, pivots = rref(m)
+        assert (red, pivots) == rref_oracle(m)
+        assert red.rows == m.rows and red.cols == m.cols
 
 
 def test_kernel_and_rank():
@@ -359,6 +423,21 @@ small_q = st.integers(min_value=-6, max_value=6).map(Q)
 def test_rank_nullity_property(rows):
     m = Mat(rows)
     assert rank(m) + len(kernel(m)) == 3
+
+
+small_rational = st.builds(Q, st.integers(min_value=-6, max_value=6),
+                           st.sampled_from((1, 2, 3, 7)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda nc: st.lists(st.lists(small_rational, min_size=nc, max_size=nc),
+                        min_size=1, max_size=5)))
+def test_rref_idempotent_and_rank_of_transpose(rows):
+    m = Mat(rows)
+    red, pivots = rref(m)
+    assert rref(red) == (red, pivots)
+    assert rank(m) == rank(m.transpose())
 
 
 @settings(max_examples=30, deadline=None)

@@ -29,7 +29,17 @@ from sympair.lie_core import (
     spectral_split,
     subalgebra_generated,
 )
-from sympair.pairs import abelian2, aff1, heis3, killing_form, sl2
+from sympair.exactla import Mat
+from sympair.pairs import (
+    BUILTIN_PAIRS,
+    abelian2,
+    aff1,
+    builtin_pair,
+    heis3,
+    killing_form,
+    sl2,
+)
+from sympair.polarization import construct_polarization, sample_polarizable_forms
 
 
 def so3():
@@ -108,6 +118,56 @@ def test_bracket_and_ad_agree():
             x = tuple(Q(rng.randint(-3, 3)) for _ in range(g.dim))
             y = tuple(Q(rng.randint(-3, 3)) for _ in range(g.dim))
             assert g.ad_matrix(x).apply(y) == g.bracket(x, y)
+
+
+def dense_bracket(g, x, y):
+    """The defining sum of x_i y_j table[i][j] over every index pair."""
+    out = [Q(0)] * g.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for l, c in enumerate(g.table[i][j]):
+                out[l] += xi * yj * c
+    return tuple(out)
+
+
+class DenseBracketAlgebra(LieAlgebra):
+    def bracket(self, x, y):
+        return dense_bracket(self, x, y)
+
+
+def conjugated_borel():
+    """exp(3 ad E) applied to span{H, F} in sl2: its echelon basis
+    a = H + 2/3 F, b = E + 1/9 F has [a, b] = -2/3 a + 2 b."""
+    g = sl2()
+    return induced_structure(Subspace.span(
+        g, [(Q(1), Q(-6), Q(0)), (Q(3), Q(-9), Q(1))]))
+
+
+def test_sparse_bracket_matches_dense_definition():
+    rng = random.Random(17)
+    algebras = [builtin_pair(name).g for name in BUILTIN_PAIRS]
+    pair = builtin_pair("swap:sl2")
+    f = sample_polarizable_forms(pair, seed=0, count=1)[0][0][0]
+    algebras += [step.sub.g for step in construct_polarization(pair, f).trace
+                 if step.sub is not None]
+    borel = conjugated_borel()
+    assert any(c.denominator > 1 for row in borel.table for v in row for c in v)
+    algebras.append(borel)
+    corrupt = [list(map(list, row)) for row in heis3().table]
+    corrupt[0][1][2] = Q(1, 2)
+    algebras.append(LieAlgebra(3, corrupt))
+    algebras.append(LieAlgebra.from_sparse(
+        3, [(0, 1, (0, 0, Q(1, 3))), (1, 2, (1, 0, 0)), (0, 2, (1, 0, 0))]))
+    for g in algebras:
+        dense = DenseBracketAlgebra(g.dim, g.table)
+        assert check_axioms(g) == check_axioms(dense)
+        for _ in range(10):
+            x, y = (tuple(Q(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+                          for _ in range(g.dim)) for _ in range(2))
+            assert g.bracket(x, y) == dense_bracket(g, x, y)
+            assert g.ad_matrix(x) == Mat.from_columns(
+                [dense_bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
+    assert check_axioms(algebras[-1]) and check_axioms(algebras[-2])
 
 
 def test_sl2_bracket_table():
